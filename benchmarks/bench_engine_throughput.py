@@ -1,29 +1,34 @@
 """Engine throughput: wall-clock cost of the simulator itself.
 
 Drives the six-organization perf workloads (``repro.perf.workloads``)
-through four engine/submission modes, on two stacks:
+through four recorder/submission modes, on two stacks:
 
-* ``normal``      — legacy hooked engine loop (``fast=False``), a
-  collecting :class:`~repro.trace.TraceRecorder`, per-block submission.
-  This is the pre-fast-path configuration and the speedup baseline.
-* ``fast``        — fast engine loop, :class:`~repro.trace.NullTraceRecorder`,
-  per-block submission.
-* ``normal_batch``/``fast_batch`` — the same two engines with
+* ``traced``      — a collecting :class:`~repro.trace.TraceRecorder`,
+  per-block submission. This is the speedup baseline.
+* ``null``        — :class:`~repro.trace.NullTraceRecorder`, per-block
+  submission.
+* ``traced_batch``/``null_batch`` — the same two recorders with
   extent-batched (list-I/O) submission (``batch_io=True``).
+
+Every mode runs on the same event loop.
 
 Stacks: ``bare`` (file system straight onto 4 devices) and ``full``
 (I/O nodes + parity resilience + QoS — the macro configuration the
 acceptance speedup is measured on).
 
 Every mode pair that must be simulation-equivalent is checked with
-:func:`repro.perf.workloads.digest`: fast == normal per submission mode,
-on both stacks, for every organization. The fast paths buy wall-clock
+:func:`repro.perf.workloads.digest`: null == traced per submission mode,
+on both stacks, for every organization. The recorder buys wall-clock
 only — never a different simulated outcome.
 
 Output: a table in ``benchmarks/results/engine_throughput.txt`` and the
 machine-readable ``benchmarks/results/BENCH_engine.json`` (schema in
 ``repro.perf.report``). Speedups are computed within each stack against
-that stack's ``normal`` mode.
+that stack's ``traced`` mode.
+
+``--scale`` instead sweeps the client count (64 → 32768) on one
+environment and writes ``BENCH_engine_scale.json`` /
+``engine_scale.txt``.
 
 CLI::
 
@@ -36,6 +41,7 @@ drop) against a previously committed baseline JSON. Quick mode
 """
 
 import argparse
+import hashlib
 import os
 import sys
 import time
@@ -44,7 +50,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 
 from repro import build_parallel_fs
-from repro.baselines import build_sharded_fs
 from repro.perf import (
     ORGS,
     WorkloadConfig,
@@ -67,9 +72,11 @@ from repro.trace import NullTraceRecorder, TraceRecorder
 QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 
 STACKS = ("bare", "full")
-MODES = ("normal", "fast", "normal_batch", "fast_batch")
+MODES = ("traced", "null", "traced_batch", "null_batch")
 N_DEVICES = 4
 IO_NODES = 2
+THROUGHPUT_TITLE = "Engine throughput: trace recorder and extent-batched submission"
+SCALE_TITLE = "Engine scaling: single-heap client sweep"
 
 
 def workload_config(quick: bool) -> WorkloadConfig:
@@ -79,10 +86,9 @@ def workload_config(quick: bool) -> WorkloadConfig:
 
 
 def build(mode: str, stack: str):
-    """One (engine mode, stack) environment + file system."""
-    fast = not mode.startswith("normal")
-    env = Environment(fast=None if fast else False)
-    recorder = NullTraceRecorder() if fast else TraceRecorder()
+    """One (recorder mode, stack) environment + file system."""
+    env = Environment()
+    recorder = TraceRecorder() if mode.startswith("traced") else NullTraceRecorder()
     kw = {}
     if stack == "full":
         kw = dict(
@@ -138,16 +144,16 @@ def run_bench(quick: bool):
             name = f"{stack}/{mode}"
             modes[name], digests[name] = run_mode(mode, stack, cfg, rounds)
 
-    # The fast loop must not change the simulation: equal digests per
-    # (stack, submission mode, org) across engines.
+    # The recorder must not change the simulation: equal digests per
+    # (stack, submission mode, org) across recorders.
     for stack in STACKS:
         for submission in ("", "_batch"):
-            ref = digests[f"{stack}/normal{submission}"]
-            got = digests[f"{stack}/fast{submission}"]
+            ref = digests[f"{stack}/traced{submission}"]
+            got = digests[f"{stack}/null{submission}"]
             for org in ORGS:
                 assert got[org] == ref[org], (
-                    f"fast engine changed the simulation: "
-                    f"{stack}/fast{submission} org {org}"
+                    f"the trace recorder changed the simulation: "
+                    f"{stack}/null{submission} org {org}"
                 )
 
     record = bench_record(
@@ -160,19 +166,19 @@ def run_bench(quick: bool):
             "macro": "full",
         },
         modes=modes,
-        baseline_mode="full/normal",
+        baseline_mode="full/traced",
         quick=quick,
     )
     # Speedups are only meaningful within a stack: recompute each mode
-    # against its own stack's normal run.
+    # against its own stack's traced run.
     for name, blk in record["modes"].items():
         stack = name.split("/")[0]
-        base = record["modes"][f"{stack}/normal"]["wall_s"]
+        base = record["modes"][f"{stack}/traced"]["wall_s"]
         record["speedup"][name] = base / blk["wall_s"] if blk["wall_s"] else 0.0
 
     rows = speedup_rows(record)
-    macro = record["speedup"]["full/fast_batch"]
-    rows.append(f"macro speedup (full stack, fast+batch vs normal): {macro:.2f}x")
+    macro = record["speedup"]["full/null_batch"]
+    rows.append(f"macro speedup (full stack, null+batch vs traced): {macro:.2f}x")
     return record, rows
 
 
@@ -190,8 +196,7 @@ def main(argv=None) -> int:
                          "(default: the committed results file)")
     ap.add_argument("--scale", action="store_true",
                     help="run only the client-count scaling curve "
-                         "(sharded vs single-heap) and write "
-                         "BENCH_engine_scale.json")
+                         "and write BENCH_engine_scale.json")
     args = ap.parse_args(argv)
 
     results = Path(__file__).parent / "results"
@@ -199,7 +204,7 @@ def main(argv=None) -> int:
 
     if args.scale:
         record, rows = run_scale_bench(args.quick)
-        title = "Engine scaling: sharded vs single-heap client sweeps"
+        title = SCALE_TITLE
         text = "\n".join([title, "=" * len(title), *rows, ""])
         (results / "engine_scale.txt").write_text(text)
         print(text)
@@ -217,7 +222,7 @@ def main(argv=None) -> int:
     baseline = load_bench_json(baseline_path) if args.check else None
 
     record, rows = run_bench(args.quick)
-    title = "Engine throughput: fast paths and extent-batched submission"
+    title = THROUGHPUT_TITLE
     text = "\n".join([title, "=" * len(title), *rows, ""])
     (results / "engine_throughput.txt").write_text(text)
     print(text)
@@ -237,21 +242,18 @@ def main(argv=None) -> int:
     return 0
 
 
-# -- client-count scaling: sharded vs single-heap -------------------------
+# -- client-count scaling ----------------------------------------------
 #
 # The second half of the benchmark: how does the engine hold up as the
 # *client count* grows? Each client is a think-sleep loop around one
 # record's worth of read + write on a PS file — a light, timer-dominated
-# workload whose schedule population scales with the client count (the
-# shape the calendar queue and the sharded window loop exist for). Every
-# size runs twice: once as SCALE_SHARDS independent file systems under
-# ShardedSimulation's conservative windows, once with the identical
-# topology on a single heap environment — and the per-file-system
-# outcome digests must match exactly (sharding restructures scheduling,
-# never results).
+# workload whose schedule population scales with the client count.
+# SCALE_SYSTEMS independent file systems share one environment; the
+# outcome digest over all of them is recorded per size so re-recordings
+# can be compared.
 
-SCALE_SHARDS = 4
-SCALE_DEVICES = 2  # per shard
+SCALE_SYSTEMS = 4
+SCALE_DEVICES = 2  # per file system
 SCALE_CLIENTS = (64, 512, 4096, 32768)
 SCALE_CLIENTS_QUICK = (64, 512)
 SCALE_ROUNDS = 2
@@ -294,51 +296,28 @@ def _spawn_scale_clients(env, file, base_cid: int, n_clients: int):
         env.process(client(p, base_cid + p))
 
 
-def _run_scale_single(n_clients: int):
-    """All shards' workloads on one heap environment."""
-    per_shard = n_clients // SCALE_SHARDS
+def run_scale_point(n_clients: int):
+    """Every file system's clients on one environment; (sample, digest)."""
+    per_system = n_clients // SCALE_SYSTEMS
     env = Environment()
     systems, files = [], []
-    for i in range(SCALE_SHARDS):
+    for i in range(SCALE_SYSTEMS):
         pfs = build_parallel_fs(env, SCALE_DEVICES, recorder=NullTraceRecorder())
-        f = _scale_file(pfs, per_shard)
-        _spawn_scale_clients(env, f, i * per_shard, per_shard)
+        f = _scale_file(pfs, per_system)
+        _spawn_scale_clients(env, f, i * per_system, per_system)
         systems.append(pfs)
         files.append(f)
     t0 = time.perf_counter()
     env.run()
     wall = time.perf_counter() - t0
-    digests = [fs_digest(systems[i], [files[i]]) for i in range(SCALE_SHARDS)]
+    h = hashlib.sha256()
+    for pfs, f in zip(systems, files):
+        h.update(fs_digest(pfs, [f]).encode())
     return {
         "wall_s": wall,
         "events": env.steps,
         "events_per_sec": env.steps / wall if wall > 0 else 0.0,
-    }, digests
-
-
-def _run_scale_sharded(n_clients: int):
-    """The same topology, one environment per shard, windowed sync."""
-    per_shard = n_clients // SCALE_SHARDS
-    spfs = build_sharded_fs(SCALE_SHARDS, SCALE_DEVICES, recorder=NullTraceRecorder())
-    files = []
-    for shard in spfs.shards:
-        f = _scale_file(spfs[shard.index], per_shard)
-        _spawn_scale_clients(
-            shard.env, f, shard.index * per_shard, per_shard
-        )
-        files.append(f)
-    t0 = time.perf_counter()
-    spfs.run()
-    wall = time.perf_counter() - t0
-    sim = spfs.sim
-    digests = [fs_digest(spfs[i], [files[i]]) for i in range(SCALE_SHARDS)]
-    return {
-        "wall_s": wall,
-        "events": sim.steps,
-        "events_per_sec": sim.steps / wall if wall > 0 else 0.0,
-        "windows": sim.windows,
-        "lookahead": sim.lookahead,
-    }, digests
+    }, h.hexdigest()[:16]
 
 
 def run_scale_bench(quick: bool):
@@ -346,34 +325,18 @@ def run_scale_bench(quick: bool):
     sizes = SCALE_CLIENTS_QUICK if quick else SCALE_CLIENTS
     rows, out = [], []
     for n_clients in sizes:
-        single, sd = _run_scale_single(n_clients)
-        sharded, hd = _run_scale_sharded(n_clients)
-        match = sd == hd
-        assert match, (
-            f"sharded run diverged from single-heap at {n_clients} clients"
-        )
-        out.append(
-            {
-                "clients": n_clients,
-                "shards": SCALE_SHARDS,
-                "single": single,
-                "sharded": sharded,
-                "digests_match": match,
-            }
-        )
+        sample, fs_hash = run_scale_point(n_clients)
+        out.append({"clients": n_clients, **sample, "digest": fs_hash})
         rows.append(
-            f"clients={n_clients:>6d}  "
-            f"single {single['events_per_sec']:>10,.0f} ev/s  "
-            f"sharded {sharded['events_per_sec']:>10,.0f} ev/s "
-            f"({sharded['windows']} windows)  digests "
-            f"{'identical' if match else 'DIVERGED'}"
+            f"clients={n_clients:>6d}  events={sample['events']:>9,d}  "
+            f"{sample['events_per_sec']:>10,.0f} ev/s  digest {fs_hash}"
         )
     record = {
         "bench": "engine_scale",
         "quick": quick,
         "config": {
-            "shards": SCALE_SHARDS,
-            "devices_per_shard": SCALE_DEVICES,
+            "file_systems": SCALE_SYSTEMS,
+            "devices_per_file_system": SCALE_DEVICES,
             "rounds": SCALE_ROUNDS,
             "record_size": RECORD_SIZE,
             "client_counts": list(sizes),
@@ -388,22 +351,20 @@ def run_scale_bench(quick: bool):
 
 def test_engine_throughput(results_dir):
     record, rows = run_bench(quick=QUICK)
-    title = "Engine throughput: fast paths and extent-batched submission"
     from conftest import write_table
 
-    write_table(results_dir, "engine_throughput", title, rows)
+    write_table(results_dir, "engine_throughput", THROUGHPUT_TITLE, rows)
     write_bench_json(results_dir / "BENCH_engine.json", record)
-    assert record["speedup"]["full/fast_batch"] > 1.0
+    assert record["speedup"]["full/null_batch"] > 1.0
 
 
 def test_engine_scale(results_dir):
     record, rows = run_scale_bench(quick=QUICK)
-    title = "Engine scaling: sharded vs single-heap client sweeps"
     from conftest import write_table
 
-    write_table(results_dir, "engine_scale", title, rows)
+    write_table(results_dir, "engine_scale", SCALE_TITLE, rows)
     write_bench_json(results_dir / "BENCH_engine_scale.json", record)
-    assert all(row["digests_match"] for row in record["rows"])
+    assert all(row["events"] > 0 for row in record["rows"])
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Wall-clock performance observability: profiling, reporting, workloads.
 
 The rest of the repo measures *simulated* seconds; this package measures
-the simulator — events per wall-clock second under the fast and legacy
-engine loops, per-subsystem wall-time attribution, and the shared
+the simulator — events per wall-clock second, per-subsystem wall-time
+attribution, and the shared
 deterministic workloads that the engine-throughput benchmark and the
 determinism regression tests both drive. See ``docs/PERF.md``.
 """

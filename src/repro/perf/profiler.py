@@ -2,9 +2,8 @@
 
 The rest of the repo measures *simulated* time; this module measures the
 simulator itself — how many engine events per wall-clock second a
-configuration sustains, and where the wall time goes. It is the
-observability half of the fast-path work: `docs/PERF.md` explains the
-fast/legacy loop split these numbers compare.
+configuration sustains, and where the wall time goes (see
+`docs/PERF.md`).
 
 Two tools:
 

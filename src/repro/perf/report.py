@@ -15,7 +15,7 @@
           "per_org": {"S": {...same fields...}, ...}
         }, ...
       },
-      "baseline_mode": "normal",
+      "baseline_mode": "full/traced",
       "speedup": {"<mode>": float, ...}   # baseline wall_s / mode wall_s
     }
 

@@ -10,9 +10,8 @@ wall-clock cost, the tests pin their simulated outcome.
 Everything here is deterministic by construction — no RNG, no wall-clock
 reads — so two runs of the same workload on the same configuration must
 produce the same event order, final clock, device statistics, and media
-bytes. :func:`digest` folds all of those into one hash; the fast engine
-loop and extent-batched submission are required to leave it unchanged
-relative to the legacy per-block paths (see ``docs/PERF.md``).
+bytes. :func:`digest` folds all of those into one hash; event pooling and
+the sanitizer are required to leave it unchanged (see ``docs/PERF.md``).
 """
 
 from __future__ import annotations
@@ -284,7 +283,7 @@ def digest(
     reordering or extra/missing event changes the hash), per-device
     statistics, and the media bytes of every workload file. Two runs that
     agree on this digest produced byte-identical simulated results —
-    the fast/normal and batched/per-block equivalence contract.
+    the pooled/sanitized equivalence contract.
     """
     h = hashlib.sha256()
     h.update(repr((float(env.now), env._eid, env.steps)).encode())
@@ -301,10 +300,10 @@ def fs_digest(
     The cross-topology cousin of :func:`digest`: per-device statistics
     (writes applied, service counts/time, transient errors) and the
     media bytes of every workload file, but not the clock, event-id, or
-    step counters. Sharded and single-heap runs of the same workload
-    necessarily differ in per-environment bookkeeping (N shard clocks
-    versus one), yet must produce identical simulated results — this is
-    the digest that equivalence is pinned with. For same-topology
+    step counters. File systems that share one ``Environment`` and file
+    systems that each own one differ in per-environment bookkeeping,
+    yet must produce identical simulated results — this is the digest
+    that equivalence is pinned with. For same-topology
     comparisons prefer :func:`digest`, which is strictly stronger.
     """
     h = hashlib.sha256()

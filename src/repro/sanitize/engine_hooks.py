@@ -94,7 +94,7 @@ class EngineSanitizer:
     # -- engine hooks ----------------------------------------------------------
 
     def on_step(self, event: Event) -> None:
-        """Called by ``Environment.step`` for every popped event."""
+        """Called by the event loop for every popped event."""
         self.checks += 1
         if event._processed:
             self._violate(

@@ -1,11 +1,13 @@
-"""Golden event-trace digests: the fast paths must not move the simulation.
+"""Golden event-trace digests: pooling and observers must not move the simulation.
 
 For every organization, on both stacks (bare, full), under both
 submission modes (per-block, extent-batched), the outcome digest —
 final clock, event/step counters, device statistics, media bytes — must
-be identical between the legacy hooked engine loop (``fast=False``) and
-the fast loop, **and** equal to the golden value committed in
-``tests/baselines/engine_digests.json``.
+be identical between a plain environment with a
+:class:`~repro.trace.NullTraceRecorder` (event pooling on) and a
+sanitizer-attached environment with a collecting
+:class:`~repro.trace.TraceRecorder` (pooling off), **and** equal to the
+golden value committed in ``tests/baselines/engine_digests.json``.
 
 The golden file pins the simulation across refactors: any change to
 event ordering, device timing, or stored bytes shows up as a digest
@@ -14,13 +16,8 @@ digests legitimately differ from per-block ones (batching changes
 request sizes, hence timing) — each (stack, submission) cell has its own
 golden value.
 
-The same golden values also pin the future-event-set flavours: a forced
-calendar queue (``Environment(queue="calendar")``) must produce the
-identical digest as the default heap in every cell — the queue swap is
-order-transparent by contract.
-
 This test also runs under ``--sanitize``: the suite-wide sanitizer hook
-forces every environment onto the hooked loop, and because the sanitizer
+attaches a sanitizer to the plain side too, and because the sanitizer
 only observes, the digests must still match the golden values.
 
 Regenerate after an intentional timing change::
@@ -37,6 +34,7 @@ from repro import build_parallel_fs
 from repro.perf import ORGS, WorkloadConfig, digest, run_org
 from repro.qos import QoSConfig
 from repro.resilience import ResilienceConfig
+from repro.sanitize import attach
 from repro.sim import Environment
 from repro.trace import NullTraceRecorder, TraceRecorder
 
@@ -52,9 +50,11 @@ def _config() -> WorkloadConfig:
     return WorkloadConfig(n_records=480)
 
 
-def _build(stack: str, batched: bool, fast: bool, queue: str = "auto"):
-    env = Environment(fast=None if fast else False, queue=queue)
-    recorder = NullTraceRecorder() if fast else TraceRecorder()
+def _build(stack: str, batched: bool, sanitized: bool):
+    env = Environment()
+    if sanitized:
+        attach(env, raise_on_violation=True)
+    recorder = TraceRecorder() if sanitized else NullTraceRecorder()
     kw = {}
     if stack == "full":
         kw = dict(
@@ -68,10 +68,8 @@ def _build(stack: str, batched: bool, fast: bool, queue: str = "auto"):
     return env, pfs
 
 
-def _digest(
-    stack: str, submission: str, org: str, fast: bool, queue: str = "auto"
-) -> str:
-    env, pfs = _build(stack, submission == "batched", fast, queue)
+def _digest(stack: str, submission: str, org: str, sanitized: bool) -> str:
+    env, pfs = _build(stack, submission == "batched", sanitized)
     f = run_org(env, pfs, org, _config())
     env.run()
     return digest(env, pfs, [f])
@@ -83,7 +81,7 @@ def _compute_all() -> dict:
         for submission in SUBMISSIONS:
             cell = out.setdefault(f"{stack}/{submission}", {})
             for org in ORGS:
-                cell[org] = _digest(stack, submission, org, fast=True)
+                cell[org] = _digest(stack, submission, org, sanitized=False)
     return out
 
 
@@ -101,32 +99,14 @@ def golden():
 @pytest.mark.parametrize("org", ORGS)
 def test_digest_matches_golden_both_engines(golden, stack, submission, org):
     want = golden[f"{stack}/{submission}"][org]
-    got_fast = _digest(stack, submission, org, fast=True)
-    got_normal = _digest(stack, submission, org, fast=False)
-    assert got_fast == got_normal, (
-        f"fast and hooked loops diverged: {stack}/{submission} {org}"
+    got_plain = _digest(stack, submission, org, sanitized=False)
+    got_sanitized = _digest(stack, submission, org, sanitized=True)
+    assert got_plain == got_sanitized, (
+        f"pooled and sanitized runs diverged: {stack}/{submission} {org}"
     )
-    assert got_fast == want, (
+    assert got_plain == want, (
         f"simulation outcome changed vs golden: {stack}/{submission} {org} "
         f"(regenerate the baseline only for an intentional timing change)"
-    )
-
-
-@pytest.mark.parametrize("stack", STACKS)
-@pytest.mark.parametrize("submission", SUBMISSIONS)
-@pytest.mark.parametrize("org", ORGS)
-def test_digest_matches_golden_calendar_queue(golden, stack, submission, org):
-    """The forced calendar queue must not move the simulation either.
-
-    ``queue="calendar"`` promotes the future-event set to the bucket
-    ring as soon as the entry distribution allows; the golden digests
-    pin that the swap is order-transparent — identical final clock,
-    event counters, device statistics, and media bytes as the heap.
-    """
-    want = golden[f"{stack}/{submission}"][org]
-    got = _digest(stack, submission, org, fast=True, queue="calendar")
-    assert got == want, (
-        f"calendar queue moved the simulation: {stack}/{submission} {org}"
     )
 
 

@@ -30,9 +30,9 @@ def test_timeout_rejects_negative_delay():
 
 def test_sleep_rejects_negative_and_nan_delay():
     # regression: the check must sit above every branch of the pooled
-    # fast path — a bad delay is rejected with a warm pool, a cold pool,
-    # and outside fast mode alike (it used to slip through the
-    # warm-pool branch straight into the schedule)
+    # path — a bad delay is rejected with a warm pool, a cold pool, and
+    # with pooling off alike (it used to slip through the warm-pool
+    # branch straight into the schedule)
     env = Environment()
     with pytest.raises(ValueError):
         env.sleep(-0.5)
@@ -43,18 +43,18 @@ def test_sleep_rejects_negative_and_nan_delay():
         yield env.sleep(0.1)
 
     env.run(env.process(proc()))
-    if env.fast_mode:  # under --sanitize the hooked loop never pools
+    if env.sanitizer is None:  # under --sanitize nothing is pooled
         assert env._timeout_pool, "pool should be warm"
     with pytest.raises(ValueError):
         env.sleep(-0.5)
     with pytest.raises(ValueError):
         env.sleep(float("nan"))
 
-    slow = Environment(fast=False)
+    unpooled = Environment(strict=True)
     with pytest.raises(ValueError):
-        slow.sleep(-1e-9)
+        unpooled.sleep(-1e-9)
     with pytest.raises(ValueError):
-        slow.sleep(float("nan"))
+        unpooled.sleep(float("nan"))
 
 
 def test_sequential_timeouts_accumulate():
@@ -296,12 +296,39 @@ def test_yield_non_event_is_error():
         env.run()
 
 
+@pytest.mark.parametrize("until", [float("nan"), float("inf"), float("-inf")])
+def test_run_until_non_finite_is_rejected(until):
+    # regression: NaN compares false against every event time, so run()
+    # used to drain the whole queue and leave env.now = nan; inf drained
+    # it too and parked the clock at infinity for every later timeout
+    env = Environment()
+    fired = []
+
+    def proc():
+        yield env.timeout(5)
+        fired.append(env.now)
+
+    env.process(proc())
+    env.run(until=1)
+    with pytest.raises(ValueError, match="finite"):
+        env.run(until=until)
+    assert env.now == 1
+    assert fired == []
+    env.run()
+    assert fired == [5]
+    assert env.now == 5
+
+
 def test_peek_and_step():
     env = Environment()
     env.timeout(7)
+    env.timeout(7)
+    assert env.peek() == 7
+    env.step()  # exactly one event, even with another at the same time
+    assert env.now == 7
+    assert env.steps == 1
     assert env.peek() == 7
     env.step()
-    assert env.now == 7
     assert env.peek() == float("inf")
     with pytest.raises(SimulationError):
         env.step()

@@ -1,11 +1,11 @@
-"""The fast engine loop: identity with the hooked loop, sleep pooling.
+"""Event pooling: identity with a sanitized run, sleep recycling.
 
-The fast loop (``Environment(fast=None)``, the default) inlines the
-event-processing step and recycles pooled ``env.sleep`` timeouts; the
-hooked loop (``fast=False``) is the pre-optimization baseline and the
-one sanitizers require. The contract tested here: both flavours produce
-byte-identical simulated behaviour — same event order, same clock, same
-step counts — and pooling never leaks a value between sleeps.
+Without a sanitizer the event loop recycles pooled ``env.sleep``
+timeouts, ``pooled_event`` events and process-initialize events;
+attaching a sanitizer turns pooling off so the sanitizer only ever sees
+fresh objects. The contract tested here: both produce byte-identical
+simulated behaviour — same event order, same clock, same step counts —
+and pooling never leaks a value between sleeps.
 """
 
 import pytest
@@ -16,10 +16,17 @@ from repro.sim.engine import Interrupt, SimulationError, Timeout
 from repro.sim.resources import Resource
 
 
-def _require_fast_mode():
-    """Skip when the suite-wide --sanitize hook forces the hooked loop."""
+def _require_pooling():
+    """Skip when the suite-wide --sanitize hook turns pooling off."""
     if Environment().sanitizer is not None:
-        pytest.skip("suite runs under --sanitize: every env is hooked")
+        pytest.skip("suite runs under --sanitize: no env pools")
+
+
+def _env(pooled: bool) -> Environment:
+    env = Environment()
+    if not pooled:
+        attach(env)
+    return env
 
 
 def _mixed_program(env, log):
@@ -46,27 +53,28 @@ def _mixed_program(env, log):
     return env.process(root())
 
 
-def _run_mixed(fast):
-    env = Environment(fast=None if fast else False)
+def _run_mixed(pooled):
+    env = _env(pooled)
     log = []
     env.run(_mixed_program(env, log))
     return env, log
 
 
 def test_fast_loop_is_identical_to_hooked_loop():
-    _require_fast_mode()
-    fast_env, fast_log = _run_mixed(fast=True)
-    slow_env, slow_log = _run_mixed(fast=False)
-    assert fast_env.fast_mode and not slow_env.fast_mode
-    assert fast_log == slow_log
-    assert fast_env.now == slow_env.now
-    assert fast_env.steps == slow_env.steps
-    assert fast_env._eid == slow_env._eid
-    assert fast_env.steps > 0
+    _require_pooling()
+    pooled_env, pooled_log = _run_mixed(pooled=True)
+    hooked_env, hooked_log = _run_mixed(pooled=False)
+    assert pooled_env._pooling and not hooked_env._pooling
+    assert pooled_log == hooked_log
+    assert pooled_env.now == hooked_env.now
+    assert pooled_env.steps == hooked_env.steps
+    assert pooled_env._eid == hooked_env._eid
+    assert pooled_env.steps > 0
+    assert hooked_env.sanitizer.clean
 
 
 def test_sleep_is_pooled_and_recycled_in_fast_mode():
-    _require_fast_mode()
+    _require_pooling()
     env = Environment()
 
     def prog():
@@ -87,7 +95,7 @@ def test_sleep_is_pooled_and_recycled_in_fast_mode():
 
 
 def test_sleep_is_a_plain_timeout_in_hooked_mode():
-    env = Environment(fast=False)
+    env = _env(pooled=False)
 
     def prog():
         first = env.sleep(1.0)
@@ -113,9 +121,9 @@ def test_sleep_rejects_negative_delay():
     env.run(env.process(prog()))
 
 
-@pytest.mark.parametrize("fast", [True, False])
-def test_interrupt_during_sleep(fast):
-    env = Environment(fast=None if fast else False)
+@pytest.mark.parametrize("pooled", [True, False])
+def test_interrupt_during_sleep(pooled):
+    env = _env(pooled)
     log = []
 
     def sleeper():
@@ -141,13 +149,13 @@ def test_interrupt_during_sleep(fast):
 def test_strict_forces_hooked_loop():
     env = Environment(strict=True)
     assert env.sanitizer is not None
-    assert not env.fast_mode
+    assert not env._pooling
 
 
 def test_attaching_sanitizer_disables_fast_loop():
-    _require_fast_mode()
+    _require_pooling()
     env = Environment()
-    assert env.fast_mode
+    assert env._pooling
 
     def prog():
         yield env.timeout(1.0)
@@ -156,9 +164,10 @@ def test_attaching_sanitizer_disables_fast_loop():
     env.process(prog())
     env.run(until=1.0)
     attach(env)
-    assert not env.fast_mode
+    assert not env._pooling
     env.run()
     assert env.now == 2.0
+    assert env.sanitizer.checks > 0
 
 
 def test_run_until_event_in_fast_mode():
@@ -174,8 +183,8 @@ def test_run_until_event_in_fast_mode():
 
 
 def test_steps_counts_events_in_both_flavours():
-    for fast in (True, False):
-        env = Environment(fast=None if fast else False)
+    for pooled in (True, False):
+        env = _env(pooled)
 
         def prog():
             for _ in range(5):
@@ -183,7 +192,7 @@ def test_steps_counts_events_in_both_flavours():
 
         env.run(env.process(prog()))
         # 1 Initialize + 5 timeouts + the Process completion event
-        assert env.steps == 7, fast
+        assert env.steps == 7, pooled
 
 
 def test_failed_event_still_propagates_in_fast_mode():
