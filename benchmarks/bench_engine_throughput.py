@@ -36,8 +36,18 @@ CLI::
         [--json PATH] [--check --baseline PATH]
 
 ``--check`` prints non-blocking regression warnings (>2x events/sec
-drop) against a previously committed baseline JSON. Quick mode
-(``--quick`` or ``REPRO_BENCH_QUICK=1``) shrinks the workload for CI.
+drop) against a previously committed baseline JSON. With ``--scale`` it
+is blocking instead: every client count run must reproduce the event
+count and outcome digest of the baseline (default: the committed
+``BENCH_engine_scale.json``), or the script exits 1. A hot-path change
+that perturbs event order then fails rather than being re-recorded.
+Quick mode (``--quick`` or ``REPRO_BENCH_QUICK=1``) shrinks the workload
+for CI.
+
+CLI (scale sweep)::
+
+    PYTHONPATH=src python benchmarks/bench_engine_throughput.py --scale \
+        [--quick] [--json PATH] [--check --baseline PATH]
 """
 
 import argparse
@@ -190,7 +200,9 @@ def main(argv=None) -> int:
                     help="where to write BENCH_engine.json "
                          "(default: benchmarks/results/BENCH_engine.json)")
     ap.add_argument("--check", action="store_true",
-                    help="print non-blocking regression warnings vs --baseline")
+                    help="print non-blocking regression warnings vs --baseline; "
+                         "with --scale, exit 1 unless every size's events "
+                         "and digest match it")
     ap.add_argument("--baseline", default=None, metavar="PATH",
                     help="baseline JSON for --check "
                          "(default: the committed results file)")
@@ -203,16 +215,29 @@ def main(argv=None) -> int:
     results.mkdir(exist_ok=True)
 
     if args.scale:
+        default_json = results / "BENCH_engine_scale.json"
+        # read before the run: the default output path is the baseline
+        baseline_path = Path(args.baseline) if args.baseline else default_json
+        baseline = load_bench_json(baseline_path) if args.check else None
         record, rows = run_scale_bench(args.quick)
         title = SCALE_TITLE
         text = "\n".join([title, "=" * len(title), *rows, ""])
         (results / "engine_scale.txt").write_text(text)
         print(text)
-        out_path = (
-            Path(args.json) if args.json else results / "BENCH_engine_scale.json"
-        )
+        out_path = Path(args.json) if args.json else default_json
         write_bench_json(out_path, record)
         print(f"wrote {out_path}")
+        if not args.check:
+            return 0
+        if baseline is None:
+            print(f"scale check: no baseline at {baseline_path}")
+            return 1
+        mismatches = scale_mismatches(record, baseline)
+        for line in mismatches:
+            print(line)
+        if mismatches:
+            return 1
+        print("scale check: events and outcome digests match the baseline")
         return 0
 
     default_json = results / "BENCH_engine.json"
@@ -346,6 +371,29 @@ def run_scale_bench(quick: bool):
     return record, rows
 
 
+def scale_mismatches(record: dict, baseline: dict) -> list[str]:
+    """Sizes whose event count or outcome digest differ from ``baseline``.
+
+    Wall-clock figures are not compared; the simulated outcome of each
+    client count must be reproduced exactly.
+    """
+    base = {row["clients"]: row for row in baseline.get("rows", [])}
+    out = []
+    for row in record["rows"]:
+        n = row["clients"]
+        ref = base.get(n)
+        if ref is None:
+            out.append(f"scale check: clients={n} is not in the baseline")
+            continue
+        for key in ("events", "digest"):
+            if row[key] != ref[key]:
+                out.append(
+                    f"scale check: clients={n} {key} {row[key]} != "
+                    f"baseline {ref[key]}"
+                )
+    return out
+
+
 # -- pytest entry (CI smoke: REPRO_BENCH_QUICK=1 pytest benchmarks/bench_engine_throughput.py)
 
 
@@ -359,12 +407,15 @@ def test_engine_throughput(results_dir):
 
 
 def test_engine_scale(results_dir):
+    baseline = load_bench_json(results_dir / "BENCH_engine_scale.json")
     record, rows = run_scale_bench(quick=QUICK)
     from conftest import write_table
 
     write_table(results_dir, "engine_scale", SCALE_TITLE, rows)
     write_bench_json(results_dir / "BENCH_engine_scale.json", record)
     assert all(row["events"] > 0 for row in record["rows"])
+    if baseline is not None:
+        assert scale_mismatches(record, baseline) == []
 
 
 if __name__ == "__main__":

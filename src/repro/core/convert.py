@@ -46,18 +46,39 @@ class Run:
         return self.start + self.count
 
 
+#: inputs of at most this many records take the pure-Python scan in
+#: :func:`contiguous_runs`; numpy's per-call overhead dominates below it
+_SCALAR_RUNS_MAX = 32
+
+
 def contiguous_runs(records: np.ndarray) -> list[Run]:
     """Maximal contiguous ascending runs in an access sequence.
+
+    Short inputs (at most ``_SCALAR_RUNS_MAX`` records, e.g. the
+    one-record reads of a closed-loop client) are scanned in pure Python;
+    longer ones use numpy ``diff``. Both paths return the same runs.
 
     >>> contiguous_runs(np.array([4, 5, 6, 10, 11, 2]))
     [Run(start=4, count=3), Run(start=10, count=2), Run(start=2, count=1)]
     """
     records = np.asarray(records, dtype=np.int64)
-    if records.size == 0:
+    n = records.size
+    if n == 0:
         return []
+    if n <= _SCALAR_RUNS_MAX:
+        values = records.tolist()
+        runs = []
+        start = prev = values[0]
+        for v in values[1:]:
+            if v != prev + 1:
+                runs.append(Run(start, prev - start + 1))
+                start = v
+            prev = v
+        runs.append(Run(start, prev - start + 1))
+        return runs
     breaks = np.nonzero(np.diff(records) != 1)[0] + 1
     starts = np.concatenate(([0], breaks))
-    stops = np.concatenate((breaks, [records.size]))
+    stops = np.concatenate((breaks, [n]))
     return [
         Run(int(records[a]), int(b - a)) for a, b in zip(starts, stops)
     ]

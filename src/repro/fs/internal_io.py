@@ -162,7 +162,17 @@ class PartitionHandle(_HandleBase):
         self._records = m.records_of(process)
         self._cursor = 0
         self._block_cursor = 0
-        self._blocks = m.blocks_of(process)
+        self._block_list: np.ndarray | None = None
+
+    @property
+    def _blocks(self) -> np.ndarray:
+        """This process's blocks in access order, built on first use: only
+        :meth:`stream` and the block cursor need them, and record-level
+        handles are opened once per request."""
+        blocks = self._block_list
+        if blocks is None:
+            blocks = self._block_list = self.view_map.blocks_of(self.process)
+        return blocks
 
     @property
     def n_local_records(self) -> int:
@@ -449,11 +459,17 @@ class DirectHandle(_HandleBase):
         goes down as one :meth:`~repro.fs.pfs.ParallelFile.write_gather`
         submission instead of one write per block.
         """
-        if self._cache is not None:
-            self._cache.writeback_many = (
+        cache = self._cache
+        if cache is not None:
+            cache.writeback_many = (
                 self._writeback_gather if self.file.pfs.batch_io else None
             )
-            yield from self._cache.flush()
+            try:
+                yield from cache.flush()
+            finally:
+                # the bound method would tie this handle and its cache
+                # into a reference cycle once the flush is over
+                cache.writeback_many = None
 
     def _writeback_gather(self, blocks: list, datas: list):
         """Batched dirty write-back: one gather for all dirty blocks."""

@@ -56,6 +56,10 @@ class FileAttributes:
     layout_params: dict[str, Any] = field(default_factory=dict)
     org_params: dict[str, Any] = field(default_factory=dict)
     dtype: str = "uint8"
+    #: the last RecordSpec built by :attr:`record_spec` (not persisted)
+    _spec: RecordSpec | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -67,7 +71,19 @@ class FileAttributes:
 
     @property
     def record_spec(self) -> RecordSpec:
-        return RecordSpec(self.record_size, self.dtype)
+        """The record codec, cached: every read and write asks for it.
+
+        Rebuilt (and so re-validated) whenever ``record_size`` or
+        ``dtype`` no longer match the cached spec.
+        """
+        spec = self._spec
+        if (
+            spec is None
+            or spec.record_size != self.record_size
+            or spec.dtype != self.dtype
+        ):
+            spec = self._spec = RecordSpec(self.record_size, self.dtype)
+        return spec
 
     @property
     def block_spec(self) -> BlockSpec:

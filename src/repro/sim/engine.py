@@ -276,22 +276,26 @@ class Process(Event):
         """Advance the generator with the value (or exception) of ``event``."""
         env = self.env
         env._active = self
-        send = self._generator.send
+        gen = self._generator
+        if gen is None:
+            env._active = None
+            raise SimulationError(f"process {self.name!r} resumed after it finished")
+        send = gen.send
         while True:
             try:
                 if event._ok:
                     next_event = send(event._value)
                 else:
                     event._defused = True
-                    next_event = self._generator.throw(event._value)
+                    next_event = gen.throw(event._value)
             except StopIteration as stop:
                 env._active = None
-                self._target = None
+                self._finish()
                 self.succeed(stop.value)
                 return
             except BaseException as exc:
                 env._active = None
-                self._target = None
+                self._finish()
                 self.fail(exc)
                 return
 
@@ -301,10 +305,10 @@ class Process(Event):
                 # the generator catches it and keeps yielding.)
                 env._active = None
                 try:
-                    self._generator.close()
+                    gen.close()
                 except RuntimeError:
                     pass  # generator ignored GeneratorExit; fail it anyway
-                self._target = None
+                self._finish()
                 self.fail(
                     SimulationError(
                         f"process {self.name!r} yielded non-event "
@@ -335,17 +339,33 @@ class Process(Event):
             # Already processed: feed its value back immediately.
             event = next_event
 
+    def _finish(self) -> None:
+        """Release what only a live process needs.
+
+        ``_resume_cb`` is a bound method of ``self``, so keeping it would
+        leave every finished process (and the generator, frames and events
+        it references) in a reference cycle for the cycle collector to
+        find. Dropping it, the generator and the wait target lets a
+        finished process be freed by reference counting alone.
+        """
+        self._target = None
+        self._generator = None
+        self._resume_cb = None
+
 
 class Condition(Event):
     """Base for AllOf / AnyOf composite events."""
 
-    __slots__ = ("events", "_n_done", "_check_cb")
+    __slots__ = ("events", "_n_done")
 
     def __init__(self, env: "Environment", events: list[Event]):
         super().__init__(env)
         self.events = list(events)
         self._n_done = 0
-        check = self._check_cb = self._check
+        # A local, not an attribute: a bound method stored on ``self`` is a
+        # reference cycle that outlives the condition. The components'
+        # callback lists hold it only until they are processed.
+        check = self._check
         for ev in self.events:
             if ev.env is not env:
                 raise SimulationError("mixed environments in condition")

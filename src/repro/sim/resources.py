@@ -142,7 +142,9 @@ class Resource:
             if req.triggered:
                 continue
             self.users.append(req)
-            req.succeed(req)
+            # No value: a request whose value is itself is a reference
+            # cycle, and the holder already has the request.
+            req.succeed()
         sanitizer = self.env._sanitizer
         if sanitizer is not None:
             sanitizer.on_resource(self)
@@ -229,9 +231,14 @@ class Store:
                 put = self._puts.popleft()
                 if put.triggered:
                     continue
-                self.items.append(put.item)
+                # The store owns the item now. A put that kept it would
+                # close a cycle whenever the item references its own put
+                # (an I/O-node request holding its admission event).
+                item = put.item
+                put.item = None
+                self.items.append(item)
                 put.succeed()
-                self.on_admit(put.item)
+                self.on_admit(item)
                 progressed = True
             while self._gets and self.items:
                 get = self._gets.popleft()

@@ -24,7 +24,9 @@ relies on to reassemble reads.
 
 from __future__ import annotations
 
+import itertools
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -257,16 +259,15 @@ class ClusteredLayout(DataLayout):
         super().__init__(n_devices)
         if any(b < 0 for b in partition_bytes):
             raise ValueError("partition sizes must be >= 0")
-        self.partition_bytes = list(partition_bytes)
-        # file-space partition starts
-        self._file_starts = np.zeros(len(partition_bytes) + 1, dtype=np.int64)
-        np.cumsum(partition_bytes, out=self._file_starts[1:])
-        # device-space base of each partition (stacking per device)
-        self._dev_base = np.zeros(len(partition_bytes), dtype=np.int64)
+        self.partition_bytes = [int(b) for b in partition_bytes]
+        # file-space partition starts and the device-space base of each
+        # partition (stacking per device), as plain lists for map_range
+        self._file_starts = [0, *itertools.accumulate(self.partition_bytes)]
+        self._dev_base = []
         fill = [0] * n_devices
-        for p, nbytes in enumerate(partition_bytes):
+        for p, nbytes in enumerate(self.partition_bytes):
             dev = p % n_devices
-            self._dev_base[p] = fill[dev]
+            self._dev_base.append(fill[dev])
             fill[dev] += nbytes
         self._dev_fill = fill
 
@@ -280,7 +281,7 @@ class ClusteredLayout(DataLayout):
 
     @property
     def total_bytes(self) -> int:
-        return int(self._file_starts[-1])
+        return self._file_starts[-1]
 
     def device_of_partition(self, p: int) -> int:
         """Device holding partition ``p`` (round-robin)."""
@@ -289,27 +290,34 @@ class ClusteredLayout(DataLayout):
         return p % self.n_devices
 
     def map_range(self, offset: int, length: int) -> list[Segment]:
+        """Segments of ``[offset, offset + length)``, one per partition touched.
+
+        The partition lookup is a ``bisect`` over plain-int lists built
+        once in ``__init__``: one-record requests call this once each, and
+        ``np.searchsorted`` plus numpy-scalar conversions cost several
+        times more than the whole scalar scan.
+        """
         self._check_range(offset, length)
         if offset + length > self.total_bytes:
             raise ValueError(
                 f"range [{offset}, {offset + length}) exceeds file of "
                 f"{self.total_bytes} bytes"
             )
+        starts, bases = self._file_starts, self._dev_base
+        last = len(self.partition_bytes) - 1
         segments: list[Segment] = []
         pos = offset
         end = offset + length
         while pos < end:
-            p = int(np.searchsorted(self._file_starts, pos, side="right") - 1)
-            # skip zero-length partitions the search may land past
-            p = min(p, self.n_partitions - 1)
-            part_start = int(self._file_starts[p])
-            part_end = int(self._file_starts[p + 1])
-            within = pos - part_start
-            take = min(part_end - pos, end - pos)
+            # the last partition starting at or before pos; bisect_right
+            # skips zero-length partitions (they share the next start)
+            p = min(bisect_right(starts, pos) - 1, last)
+            part_start = starts[p]
+            take = min(starts[p + 1] - pos, end - pos)
             segments.append(
                 Segment(
                     device=p % self.n_devices,
-                    offset=int(self._dev_base[p]) + within,
+                    offset=bases[p] + pos - part_start,
                     length=take,
                 )
             )

@@ -259,6 +259,27 @@ def test_interrupt_dead_process_is_error():
         p.interrupt()
 
 
+def test_interrupt_delivered_after_victim_finished_is_error():
+    """The victim's wake and the interrupt race on one event: the victim
+    runs to completion first, then the interrupt finds it finished (and
+    holding no generator)."""
+    env = Environment()
+    ev = env.event()
+
+    def attacker():
+        yield ev
+        victim.interrupt("late")
+
+    def victim_body():
+        yield ev
+
+    env.process(attacker())
+    victim = env.process(victim_body())
+    ev.succeed()  # scheduled after both processes' first steps
+    with pytest.raises(SimulationError, match="resumed after it finished"):
+        env.run()
+
+
 def test_run_until_time_stops_clock_exactly():
     env = Environment()
 
